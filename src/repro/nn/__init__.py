@@ -5,11 +5,11 @@ equivalent functionality on plain numpy so the reproduction has no deep
 learning framework dependency.  See DESIGN.md section 2.
 """
 
-from . import compile, functional, init
+from . import functional, init
 from .batching import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
-                       load_flat_stack, stack_conversions, stacked_predict,
+                       load_flat_stack, stack_conversions,
+                       stacked_loss_backward, stacked_predict,
                        theta_r_grad_stack)
-from .compile import backend_scope, get_backend, set_backend
 from .layers import (MLP, BatchedLinear, Linear, Module, ReLU, Sequential,
                      Sigmoid, batch_modules, unstack_modules)
 from .optim import Adam, Optimizer, SGD
@@ -19,9 +19,9 @@ __all__ = [
     "Tensor", "Parameter", "no_grad",
     "Module", "Linear", "ReLU", "Sigmoid", "Sequential", "MLP",
     "BatchedLinear", "batch_modules", "unstack_modules",
-    "BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
-    "load_flat_stack", "theta_r_grad_stack", "grad_stacks", "stacked_predict",
+    "BatchedUISClassifier", "fused_local_adapt", "stacked_loss_backward",
+    "stack_conversions", "load_flat_stack", "theta_r_grad_stack",
+    "grad_stacks", "stacked_predict",
     "Optimizer", "SGD", "Adam",
-    "get_backend", "set_backend", "backend_scope",
-    "functional", "init", "compile",
+    "functional", "init",
 ]

@@ -12,6 +12,9 @@ program.  This module is the shared substrate both layers build on:
   ``UISClassifier.forward`` over a leading batch axis;
 * :func:`fused_local_adapt` — the fused few-shot optimization loop
   (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks);
+* :func:`stacked_loss_backward` — one forward + backward of the summed
+  per-task loss (the meta-training global phase and the pooled
+  pretraining step);
 * :func:`theta_r_grad_stack` / :func:`grad_stacks` — per-task gradient
   slices out of the stacked parameters, in the exact layout of the
   corresponding per-task model (the meta-training global phase and the
@@ -33,14 +36,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compile import get_backend
-from .functional import batched_pos_weight
+from .functional import (batched_binary_cross_entropy_with_logits,
+                         batched_pos_weight)
 from .layers import Module, batch_modules, unstack_modules
-from .tensor import Parameter, Tensor
+from .optim import Adam, SGD
+from .tensor import Parameter, Tensor, no_grad
 
-__all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
-           "load_flat_stack", "theta_r_grad_stack", "grad_stacks",
-           "copy_grad_stacks", "stacked_predict"]
+__all__ = ["BatchedUISClassifier", "fused_local_adapt",
+           "stacked_loss_backward", "stack_conversions", "load_flat_stack",
+           "theta_r_grad_stack", "grad_stacks", "stacked_predict"]
 
 
 class BatchedUISClassifier(Module):
@@ -194,13 +198,6 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     :class:`Parameter` (or ``None``).  The gradients of the *last* step
     are left on the parameters so callers can slice them
     (:func:`theta_r_grad_stack`) before reusing the stacks.
-
-    Execution runs on the active :mod:`repro.nn.compile` backend.
-    Parity guarantee: every backend evaluates the identical float64 op
-    sequence in the identical order, so the adapted parameters,
-    last-step gradients, and downstream predictions are bit-identical
-    regardless of backend (the ``-m compile`` suite asserts this
-    against the eager reference).
     """
     if batched is None:
         batched = BatchedUISClassifier(models)
@@ -214,10 +211,44 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     ys = np.asarray(ys, dtype=np.float64)
     pos_weight = batched_pos_weight(ys) if balance_classes else None
 
-    get_backend().local_adapt(batched, conversion, features, xs, ys,
-                              pos_weight, steps=steps, lr=lr,
-                              optimizer_kind=optimizer_kind)
+    trainable = list(batched.parameters())
+    if conversion is not None:
+        trainable.append(conversion)
+    if optimizer_kind == "adam":
+        optimizer = Adam(trainable, lr=lr)
+    else:
+        optimizer = SGD(trainable, lr=lr)
+
+    for _ in range(steps):
+        optimizer.zero_grad()
+        logits = batched.forward(features, xs, conversion=conversion)
+        # Sum of per-task mean losses: block-diagonal, so each task's
+        # parameters see exactly their own sequential gradient.
+        loss = batched_binary_cross_entropy_with_logits(
+            logits, ys, pos_weight=pos_weight).sum()
+        loss.backward()
+        optimizer.step()
     return batched, conversion
+
+
+def stacked_loss_backward(batched, conversion, features, xs, ys,
+                          pos_weight):
+    """One forward + backward of the summed per-task BCE loss.
+
+    ``pos_weight`` is the (K, 1) per-task positive weight or ``None``.
+    Zeroes and repopulates the gradients of ``batched`` (and of
+    ``conversion`` when it is a :class:`Parameter`; a plain (K, Ne, 3Ne)
+    array is a constant).  Returns the (K,) per-task loss vector; slice
+    k of every gradient is exactly the gradient task k's own loss gives.
+    """
+    batched.zero_grad()
+    if isinstance(conversion, Parameter):
+        conversion.zero_grad()
+    logits = batched.forward(features, xs, conversion=conversion)
+    task_losses = batched_binary_cross_entropy_with_logits(
+        logits, ys, pos_weight=pos_weight)
+    task_losses.sum().backward()
+    return np.asarray(task_losses.data)
 
 
 def theta_r_grad_stack(batched):
@@ -248,28 +279,14 @@ def grad_stacks(batched):
     return {name: param.grad for name, param in batched.named_parameters()}
 
 
-def copy_grad_stacks(stacks):
-    """Detached float64 copies of a :func:`grad_stacks` mapping.
-
-    Under the fused :mod:`repro.nn.compile` backend the gradient arrays
-    alias the plan's reusable workspace, so they are only valid until
-    the next program runs.  Take copies before holding them across
-    another forward/backward; values are preserved bit-for-bit, so the
-    deterministic reduction downstream is unaffected.  (Shipping stacks
-    over a process pipe also detaches them — pickling copies — but an
-    explicit copy keeps the lifetime obvious.)
-    """
-    return {name: None if grad is None
-            else np.array(grad, dtype=np.float64)
-            for name, grad in stacks.items()}
-
-
 def stacked_predict(batched, features, xs, conversion=None, threshold=0.5):
     """Fused no-grad 0/1 predictions, shape (K, n).
 
-    The sigmoid probabilities come from the active
-    :mod:`repro.nn.compile` backend (bit-identical across backends).
+    ``xs`` may be a stride-0 broadcast of one shared (n, width) row
+    block; it reaches the gemm without being copied.
     """
-    proba = get_backend().predict_proba(batched, features, xs,
-                                        conversion=conversion)
-    return (proba >= threshold).astype(np.int64)
+    if isinstance(conversion, Parameter):
+        conversion = conversion.data
+    with no_grad():
+        logits = batched.forward(features, xs, conversion=conversion)
+    return (logits.sigmoid().numpy() >= threshold).astype(np.int64)

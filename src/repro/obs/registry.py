@@ -52,16 +52,6 @@ name                                             kind        unit
 ``store.freshness.drift_score``                  histogram   score
 ``geometry.pack_cache.hits``                     counter     lookups
 ``geometry.pack_cache.misses``                   counter     lookups
-``nn.compile.plan_cache.hits``                   counter     lookups
-``nn.compile.plan_cache.misses``                 counter     lookups
-``nn.compile.plan_cache.evictions``              counter     plans
-``nn.compile.plan_cache.unsupported``            counter     keys
-``nn.compile.plan_cache.arena_bytes``            gauge       bytes
-``nn.compile.moment_pool.hits``                  counter     leases
-``nn.compile.moment_pool.misses``                counter     leases
-``nn.compile.moment_pool.evictions``             counter     entries
-``nn.compile.backend.replays``                   counter     replays
-``nn.compile.backend.fallbacks``                 counter     calls
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds
 ``train.offline.meta_epoch.seconds``             histogram   seconds
 ``train.offline.epochs.pretrain``                counter     epochs
@@ -93,8 +83,8 @@ Design constraints (the no-interference guarantee):
   returns one shared no-op context manager (no per-call allocation).
 
 Ownership model: components that expose per-instance ``stats()`` dicts
-(the session manager, the prediction/plan/pack caches, the moment pool)
-each own a private :class:`MetricsRegistry`; the old dict methods are
+(the session manager, the prediction and pack caches) each own a
+private :class:`MetricsRegistry`; the old dict methods are
 compatibility shims reading those registries.  Registries auto-enlist
 in a process-wide weak set, so :func:`aggregate` merges every live
 registry — plus the :func:`default_registry` used by module-level sites
@@ -106,7 +96,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import threading
 import weakref
 
 __all__ = [
@@ -124,7 +113,6 @@ __all__ = [
 BUCKET_BOUNDS = tuple(10.0 ** (k / 4.0) for k in range(-26, 13))
 
 _ENABLED = [None]   # tri-state: None = resolve REPRO_OBS on first use
-_LOCK = threading.Lock()
 
 
 def enabled():

@@ -582,8 +582,8 @@ class ShardGateway:
 
         Fans a pipelined ``metrics`` RPC out to every live worker; each
         returns its process-wide :func:`repro.obs.aggregate` snapshot
-        (manager latency histograms, cache hit counters, compile-plan
-        stats).  Returns::
+        (manager latency histograms, cache hit counters, store scan
+        counters).  Returns::
 
             {"workers": {worker_index: snapshot | tombstone},
              "gateway": <gateway-side snapshot>,

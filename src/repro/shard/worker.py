@@ -141,10 +141,10 @@ def worker_main(conn, lte, checkpoint_dir, worker_index):
             return worker_stats()
         if method == "metrics":
             # The worker's whole-process metric state: the manager's
-            # registry, any compile-backend registries, and the default
-            # registry — one plain snapshot the gateway merges with the
-            # other workers' (bucket bounds are fixed process-wide, so
-            # the merge is a deterministic element-wise add).
+            # and caches' registries and the default registry — one
+            # plain snapshot the gateway merges with the other workers'
+            # (bucket bounds are fixed process-wide, so the merge is a
+            # deterministic element-wise add).
             return _aggregate_metrics()
         if method == "_debug":
             # Test hooks only: fault injection the gateway tests use to

@@ -8,6 +8,8 @@ finish the run and converge to the *identical* phi — bit for bit — and
 hence to bit-identical online sessions for every variant.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -234,4 +236,23 @@ def test_checkpoint_meta_records_engine_provenance(tmp_path, persist_table,
     meta = inspect_checkpoint(str(checkpoint))["meta"]
     assert meta["engine"] == "parallel"
     assert meta["workers"] == 2
-    assert meta["nn_backend"]
+
+
+def test_resume_ignores_legacy_nn_backend_meta(tmp_path, persist_table,
+                                               persist_subspaces,
+                                               uninterrupted):
+    """Older builds also recorded an ``nn_backend`` name in the
+    checkpoint meta; such a checkpoint still resumes to the identical
+    phi (the key is provenance only and is not read back)."""
+    checkpoint = tmp_path / "pretrain"
+    _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1)
+    manifest_path = checkpoint / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["meta"]["nn_backend"] = "reference"
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    assert inspect_checkpoint(str(checkpoint))["meta"]["nn_backend"] == \
+        "reference"
+    resumed = LTE(resume_config())
+    resumed.fit_offline(persist_table, subspaces=persist_subspaces,
+                        checkpoint=str(checkpoint))
+    assert_identical_trainers(uninterrupted, resumed)
